@@ -1,6 +1,6 @@
 """Active learning in the latent space (paper §V, Algorithms 1 and 2).
 
-Algorithm 1 (`al_bootstrap`) builds the initial pools from the LSH
+Algorithm 1 (`al_bootstrap`) builds the initial pools from the exact W2
 top-k candidate pairs: smallest-W2 pairs become L+, largest-W2 pairs
 become L-, everything else is the unlabeled pool U. The paper notes
 (Table VIII †) that some domains' bootstrap positives contained false
@@ -32,19 +32,23 @@ class DomainTensors:
     """Driver-side tensor view of one domain: IRs + latent reps by table.
 
     ``irs[t]`` is (n_t, m, d); ``mu[t]``/``sigma[t]`` are (n_t, m*k);
-    ``row[t]`` maps tuple id -> row index.
+    row ``i`` of each belongs to tuple ``ids[t][i]``.
     """
 
     ids: dict[str, np.ndarray]
     irs: dict[str, np.ndarray]
     mu: dict[str, np.ndarray]
     sigma: dict[str, np.ndarray]
-    row: dict[str, dict[int, int]] = field(default_factory=dict)
+    # Per table: (sorted ids, row index of each sorted id), for id -> row.
+    _index: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.row = {
-            t: {int(v): i for i, v in enumerate(arr)} for t, arr in self.ids.items()
-        }
+        self._index = {}
+        for t, arr in self.ids.items():
+            order = np.argsort(arr, kind="stable")
+            self._index[t] = (arr[order], order)
 
     @classmethod
     def from_frames(cls, irs_pdf: pd.DataFrame, reps_pdf: pd.DataFrame) -> "DomainTensors":
@@ -65,8 +69,15 @@ class DomainTensors:
 
     # ---- pair gathers ---------------------------------------------------------
     def _rows(self, table: str, ids: np.ndarray) -> np.ndarray:
-        r = self.row[table]
-        return np.array([r[int(i)] for i in ids], dtype=np.int64)
+        keys, order = self._index[table]
+        ids = np.asarray(ids)
+        pos = np.searchsorted(keys, ids)
+        found = pos < len(keys)
+        found[found] = keys[pos[found]] == ids[found]
+        if not found.all():
+            missing = ids[~found][0]
+            raise KeyError(f"table {table!r} has no tuple with id {missing}")
+        return order[pos]
 
     def pair_irs(self, id_a: np.ndarray, id_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return (

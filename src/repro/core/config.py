@@ -1,5 +1,5 @@
 """VAER hyperparameters (paper Table III) plus scale knobs the paper
-does not pin down (epoch counts, LSH geometry).
+does not pin down (epoch counts, sample caps).
 
 All experiment harnesses read from a `VaerConfig` so tests can shrink
 dimensions without touching the defaults used for the table runs.

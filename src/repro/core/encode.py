@@ -8,7 +8,7 @@ through the encoder with `mapInPandas`.
 Representations are stored *flattened*: ``mu``/``sigma`` are arrays of
 length arity*latent — the concatenation of the per-attribute vectors.
 W2 over the concatenation equals the sum of per-attribute W2 terms, so
-all downstream distance math (Eq. 3, the Distance layer, LSH-on-means)
+all downstream distance math (Eq. 3, the Distance layer, top-k search)
 works directly on the flat form.
 """
 from __future__ import annotations
@@ -82,21 +82,3 @@ def irs_as_representations(irs_df: DataFrame) -> DataFrame:
         schema="id long, table string, mu array<double>, sigma array<double>",
     )
 
-
-def collect_representations(
-    reps: DataFrame,
-) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray], dict[str, np.ndarray]]:
-    """Driver-side view for the AL loop: per-table id vectors + matrices.
-
-    Returns ``(ids, mu, sigma)`` dicts keyed by table label; ``mu[t][i]``
-    corresponds to ``ids[t][i]``.
-    """
-    pdf = reps.toPandas()
-    ids: dict[str, np.ndarray] = {}
-    mu: dict[str, np.ndarray] = {}
-    sigma: dict[str, np.ndarray] = {}
-    for t, grp in pdf.groupby("table"):
-        ids[t] = grp["id"].to_numpy()
-        mu[t] = np.stack(grp["mu"].to_numpy())
-        sigma[t] = np.stack(grp["sigma"].to_numpy())
-    return ids, mu, sigma

@@ -2,161 +2,157 @@
 
 The paper searches on ``mu`` vectors with Euclidean LSH (licensed by the
 W2 <-> Euclidean-on-means correlation of §V-A) and re-orders results by
-the full W2 distance. We implement the same two-stage scheme as a
-broadcast block-nearest-neighbour join:
+the full W2 distance. That LSH is a scaling device only: at every
+Table II scale the exact search fits on the driver (DESIGN.md §2), so
+this module runs it exactly.
 
-  stage 1 (candidates): project mu to ``proj_dim`` dimensions with a
-    seeded Gaussian random projection (a p-stable LSH sketch), broadcast
-    the smaller side's sketch matrix, and scan the other side's
-    partitions with numpy top-``k*oversample`` lookups;
-  stage 2 (re-rank): join candidates back to the full (mu, sigma)
-    vectors, compute exact W2 per pair in `mapInPandas`, and keep the
-    top-k per side with a window.
-
-``exact=True`` skips the sketch (projection = identity, oversample = all
-candidates), giving the brute-force oracle used by tests.
+W2 between diagonal Gaussians is the squared Euclidean distance between
+the concatenations ``[mu | sigma]``. Each side searches the other table
+in row blocks, ranking with the ``|x|^2 - 2 x.y + |y|^2`` expansion (one
+matrix product per block, the blocked exact k-NN of FAISS: Johnson,
+Douze, Jegou, *Billion-scale similarity search with GPUs*, 2017). The
+expansion is exact only up to rounding, so every near-tie of the k-th
+value is kept and the order is settled on directly computed W2, ties
+broken by the other side's id.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
+
+# Bytes one float64 block of expansion distances may take. A block holds
+# as many probe rows as fit against the whole other table.
+_BLOCK_BYTES = 64 << 20
 
 
-def _project(X: np.ndarray, proj_dim: int, seed: int) -> np.ndarray:
-    d = X.shape[1]
-    if proj_dim >= d:
-        return X.astype(np.float32)
-    R = np.random.default_rng(seed).normal(0, 1.0 / np.sqrt(proj_dim), (d, proj_dim))
-    return (X @ R).astype(np.float32)
+def _w2(mu_p, sg_p, mu_q, sg_q) -> np.ndarray:
+    """Row-wise W2 between aligned rows, computed directly."""
+    return ((mu_p - mu_q) ** 2).sum(1) + ((sg_p - sg_q) ** 2).sum(1)
 
 
-def _candidates_one_direction(
-    reps: DataFrame,
-    probe_table: str,
-    index_pdf: pd.DataFrame,
+def _w2_rows(mu_p, sg_p, mu_q, sg_q, r, c) -> np.ndarray:
+    """W2 of the row pairs ``(r[i], c[i])``, gathered in chunks whose
+    rows take at most the block budget."""
+    step = max(1, _BLOCK_BYTES // (8 * (mu_p.shape[1] + sg_p.shape[1])))
+    return np.concatenate(
+        [
+            _w2(mu_p[r[s : s + step]], sg_p[r[s : s + step]],
+                mu_q[c[s : s + step]], sg_q[c[s : s + step]])
+            for s in range(0, len(r), step)
+        ]
+    )
+
+
+def _side_topk(
+    ids_q: np.ndarray,
+    mu_p: np.ndarray,
+    sg_p: np.ndarray,
+    mu_q: np.ndarray,
+    sg_q: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each probe row p, its k nearest q rows by exact W2, ties broken
+    by q's id. Returns (probe row, q row, W2) arrays."""
+    k = min(k, len(ids_q))
+    xq = np.hstack([mu_q, sg_q])
+    sq_q = (xq**2).sum(1)
+    sq_q_max = sq_q.max()
+    block = max(1, _BLOCK_BYTES // (8 * len(ids_q)))
+    rows, cols, dists = [], [], []
+    for s in range(0, len(mu_p), block):
+        mp, sp = mu_p[s : s + block], sg_p[s : s + block]
+        xp = np.hstack([mp, sp])
+        sq_p = (xp**2).sum(1)
+        d2 = xp @ xq.T
+        d2 *= -2.0
+        d2 += sq_p[:, None]
+        d2 += sq_q[None, :]
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+        tol = 1e-9 * (sq_p + sq_q_max + 1.0)
+        r, c = np.nonzero(d2 <= (kth + tol)[:, None])
+        del d2
+        w2 = _w2_rows(mp, sp, mu_q, sg_q, r, c)
+        order = np.lexsort((ids_q[c], w2, r))
+        r, c, w2 = r[order], c[order], w2[order]
+        keep = np.arange(len(r)) - np.searchsorted(r, r, side="left") < k
+        rows.append(r[keep] + s)
+        cols.append(c[keep])
+        dists.append(w2[keep])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(dists)
+
+
+def topk_w2(
+    ids: dict[str, np.ndarray],
+    mu: dict[str, np.ndarray],
+    sigma: dict[str, np.ndarray],
     *,
-    n_cand: int,
-    proj_dim: int,
-    seed: int,
-) -> DataFrame:
-    """Scan ``probe_table`` partitions against the broadcast index sketch."""
-    spark = reps.sparkSession
-    idx_ids = index_pdf["id"].to_numpy()
-    idx_proj = _project(np.stack(index_pdf["mu"].to_numpy()), proj_dim, seed)
-    idx_sq = (idx_proj**2).sum(axis=1)
-    b = spark.sparkContext.broadcast((idx_ids, idx_proj, idx_sq))
-    probe_is_a = probe_table == "a"
+    k: int = 10,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Driver-side exact top-k over per-table arrays keyed ``'a'``/``'b'``.
 
-    def part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        ids_i, P_i, sq_i = b.value
-        m = min(n_cand, len(ids_i))
-        for pdf in it:
-            if not len(pdf):
-                continue
-            Q = _project(np.stack(pdf["mu"].to_numpy()), proj_dim, seed)
-            # Squared Euclidean via the expansion; argpartition for top-m.
-            d2 = (Q**2).sum(axis=1)[:, None] - 2.0 * (Q @ P_i.T) + sq_i[None, :]
-            top = np.argpartition(d2, m - 1, axis=1)[:, :m]
-            probe_ids = pdf["id"].to_numpy()
-            pid = np.repeat(probe_ids, m)
-            nid = ids_i[top.ravel()]
-            yield pd.DataFrame(
-                {
-                    "id_a": pid if probe_is_a else nid,
-                    "id_b": nid if probe_is_a else pid,
-                }
-            )
-
-    probe = reps.where(F.col("table") == probe_table).select("id", "mu")
-    return probe.mapInPandas(part, schema="id_a long, id_b long")
-
-
-def _w2_pairs(pairs_with_vecs: DataFrame) -> DataFrame:
-    """Attach exact W2 to joined pairs, computed vectorised per partition."""
-
-    def part(it: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in it:
-            if not len(pdf):
-                continue
-            mu_a = np.stack(pdf["mu_a"].to_numpy())
-            mu_b = np.stack(pdf["mu_b"].to_numpy())
-            sg_a = np.stack(pdf["sigma_a"].to_numpy())
-            sg_b = np.stack(pdf["sigma_b"].to_numpy())
-            w2 = ((mu_a - mu_b) ** 2).sum(1) + ((sg_a - sg_b) ** 2).sum(1)
-            yield pd.DataFrame(
-                {"id_a": pdf["id_a"], "id_b": pdf["id_b"], "w2": w2}
-            )
-
-    return pairs_with_vecs.mapInPandas(
-        part, schema="id_a long, id_b long, w2 double"
-    )
-
-
-def pair_w2(reps: DataFrame, pairs: DataFrame) -> DataFrame:
-    """Join arbitrary (id_a, id_b) pairs to representations and compute W2.
-
-    Extra columns of ``pairs`` (e.g. ``label``) are preserved.
+    Each table needs at least one row. Returns ``(id_a, id_b, w2)`` for
+    every pair in the W2 top-k of either side, sorted by ``(id_a, id_b)``.
     """
-    a = reps.where(F.col("table") == "a").select(
-        F.col("id").alias("id_a"),
-        F.col("mu").alias("mu_a"),
-        F.col("sigma").alias("sigma_a"),
+    if k < 1:
+        raise ValueError(f"topk: k must be at least 1, got {k}")
+    for name, arrs in (("mu", mu), ("sigma", sigma)):
+        if arrs["a"].shape[1] != arrs["b"].shape[1]:
+            raise ValueError(
+                f"topk: {name} width differs between tables "
+                f"(a: {arrs['a'].shape[1]}, b: {arrs['b'].shape[1]}); "
+                "were they encoded at different arities?"
+            )
+        for t in ("a", "b"):
+            if not np.isfinite(arrs[t]).all():
+                raise ValueError(f"topk: table {t!r} has non-finite {name} values")
+    ra, cb, w2_a = _side_topk(ids["b"], mu["a"], sigma["a"], mu["b"], sigma["b"], k)
+    rb, ca, w2_b = _side_topk(ids["a"], mu["b"], sigma["b"], mu["a"], sigma["a"], k)
+    # A pair found from both sides has the same W2 from both: (x - y)^2
+    # and (y - x)^2 round alike.
+    n_b = len(ids["b"])
+    key, first = np.unique(
+        np.concatenate([ra * n_b + cb, ca * n_b + rb]), return_index=True
     )
-    b = reps.where(F.col("table") == "b").select(
-        F.col("id").alias("id_b"),
-        F.col("mu").alias("mu_b"),
-        F.col("sigma").alias("sigma_b"),
-    )
-    joined = pairs.join(a, "id_a").join(b, "id_b")
-    extra = [c for c in pairs.columns if c not in ("id_a", "id_b")]
-    w2 = _w2_pairs(
-        joined.select("id_a", "id_b", "mu_a", "mu_b", "sigma_a", "sigma_b")
-    )
-    if extra:
-        w2 = w2.join(pairs, ["id_a", "id_b"])
-    return w2
+    w2 = np.concatenate([w2_a, w2_b])[first]
+    ia, ib = key // n_b, key % n_b
+    order = np.lexsort((ids["b"][ib], ids["a"][ia]))
+    return ids["a"][ia[order]], ids["b"][ib[order]], w2[order]
 
 
 def topk_pairs(
     reps: DataFrame,
     *,
     k: int = 10,
-    exact: bool = False,
-    proj_dim: int = 64,
-    oversample: int = 3,
-    seed: int = 42,
+    exact: bool = True,
+    seed: int | None = None,
 ) -> DataFrame:
-    """Cross-table top-k neighbour pairs re-ranked by W2.
+    """Cross-table top-k neighbour pairs by exact W2.
 
     Returns ``(id_a, id_b, w2)`` where the pair is in the W2 top-k of
     *either* side — the §VI-B evaluation protocol and the Algorithm 1
-    candidate pool. ``reps`` must carry (id, table in {'a','b'}, mu, sigma).
-    """
-    b_pdf = reps.where(F.col("table") == "b").select("id", "mu").toPandas()
-    a_pdf = reps.where(F.col("table") == "a").select("id", "mu").toPandas()
-    if exact:
-        n_cand = max(len(a_pdf), len(b_pdf))
-        proj_dim = 1 << 30  # identity projection
-    else:
-        n_cand = k * oversample
-    cand = _candidates_one_direction(
-        reps, "a", b_pdf, n_cand=n_cand, proj_dim=proj_dim, seed=seed
-    ).unionByName(
-        _candidates_one_direction(
-            reps, "b", a_pdf, n_cand=n_cand, proj_dim=proj_dim, seed=seed
-        )
-    ).dropDuplicates(["id_a", "id_b"])
+    candidate pool. ``reps`` must carry (id, table in {'a','b'}, mu, sigma);
+    it is collected to the driver once.
 
-    scored = pair_w2(reps, cand)
-    wa = Window.partitionBy("id_a").orderBy(F.col("w2").asc(), F.col("id_b").asc())
-    wb = Window.partitionBy("id_b").orderBy(F.col("w2").asc(), F.col("id_a").asc())
-    ranked = scored.withColumn("ra", F.row_number().over(wa)).withColumn(
-        "rb", F.row_number().over(wb)
-    )
-    return ranked.where((F.col("ra") <= k) | (F.col("rb") <= k)).select(
-        "id_a", "id_b", "w2"
+    ``exact`` and ``seed`` are kept only so that older callers keep
+    working: the search is always exact and draws no random numbers.
+    ``exact=False`` raises ``ValueError``.
+    """
+    if not exact:
+        raise ValueError(
+            "topk_pairs: approximate search was removed; the search is always exact"
+        )
+    pdf = reps.select("id", "table", "mu", "sigma").toPandas()
+    ids, mu, sigma = {}, {}, {}
+    for t in ("a", "b"):
+        grp = pdf[pdf["table"] == t]
+        if grp.empty:
+            raise ValueError(f"topk_pairs: table {t!r} has no rows")
+        ids[t] = grp["id"].to_numpy(np.int64)
+        mu[t] = np.stack(grp["mu"].to_numpy())
+        sigma[t] = np.stack(grp["sigma"].to_numpy())
+    id_a, id_b, w2 = topk_w2(ids, mu, sigma, k=k)
+    return reps.sparkSession.createDataFrame(
+        pd.DataFrame({"id_a": id_a, "id_b": id_b, "w2": w2}),
+        schema="id_a long, id_b long, w2 double",
     )

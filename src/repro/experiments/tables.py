@@ -80,10 +80,9 @@ def table4_representation(
     kinds: tuple[str, ...] = IR_KINDS,
     cfg: VaerConfig = VaerConfig(),
     k: int = 10,
-    exact: bool = False,
 ) -> pd.DataFrame:
     """For each domain x IR kind: nearest-neighbour P/R/F1 on raw IRs vs
-    on VAER latent representations (search on mu, re-rank by W2)."""
+    on VAER latent representations (exact W2 top-k search)."""
     rows = []
     for name in domains:
         data = er_domain(spark, name, sf=sf, seed=seed)
@@ -92,10 +91,8 @@ def table4_representation(
             rep = learn_representations(data, kind=kind, cfg=cfg, seed=seed)
             try:
                 raw = irs_as_representations(rep.irs_df)
-                prf_ir = topk_prf(topk_pairs(raw, k=k, exact=exact, seed=seed), test)
-                prf_vaer = topk_prf(
-                    topk_pairs(rep.reps_df, k=k, exact=exact, seed=seed), test
-                )
+                prf_ir = topk_prf(topk_pairs(raw, k=k), test)
+                prf_vaer = topk_prf(topk_pairs(rep.reps_df, k=k), test)
             finally:
                 rep.irs_df.unpersist()
             rows.append(
@@ -230,7 +227,6 @@ def table7_transfer(
     domains: tuple[str, ...] = tuple(d for d in ALL_DOMAINS if d != "citations2"),
     cfg: VaerConfig = VaerConfig(),
     k: int = 10,
-    exact: bool = False,
 ) -> pd.DataFrame:
     """Train the representation model on ``source`` (paper: Citations 2),
     transfer it to every other domain, and compare recall@K and matching
@@ -249,9 +245,7 @@ def table7_transfer(
         for mode, vae in (("local", None), ("transf", transferred)):
             rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed, vae=vae)
             try:
-                prf = topk_prf(
-                    topk_pairs(rep.reps_df, k=k, exact=exact, seed=seed), data.test
-                )
+                prf = topk_prf(topk_pairs(rep.reps_df, k=k), data.test)
                 tensors = domain_tensors(rep)
             finally:
                 rep.irs_df.unpersist()
@@ -284,7 +278,6 @@ def table8_active_learning(
     domains: tuple[str, ...] = ALL_DOMAINS,
     cfg: VaerConfig = VaerConfig(),
     label_budget: int = 250,
-    exact: bool = False,
 ) -> pd.DataFrame:
     """Bootstrap (Alg. 1) vs actively labeled (Alg. 2) vs full training.
 
@@ -298,9 +291,7 @@ def table8_active_learning(
         rep = learn_representations(data, kind="lsa", cfg=cfg, seed=seed)
         try:
             tensors = domain_tensors(rep)
-            cand = topk_pairs(
-                rep.reps_df, k=cfg.al_top_k_neighbours, exact=exact, seed=seed
-            ).toPandas()
+            cand = topk_pairs(rep.reps_df, k=cfg.al_top_k_neighbours).toPandas()
         finally:
             rep.irs_df.unpersist()
         truth_pdf = data.truth.toPandas()

@@ -61,6 +61,42 @@ def _enc_state(d=6, h=10, k=4, seed=1):
     }
 
 
+class TestDomainTensors:
+    @staticmethod
+    def _tensors():
+        rng = np.random.default_rng(5)
+        ids = {"a": rng.permutation(1000)[:40], "b": rng.permutation(1000)[:30]}
+        irs = {t: rng.normal(size=(len(v), 2, 3)) for t, v in ids.items()}
+        mu = {t: rng.normal(size=(len(v), 4)) for t, v in ids.items()}
+        sigma = {t: rng.random((len(v), 4)) for t, v in ids.items()}
+        return DomainTensors(ids=ids, irs=irs, mu=mu, sigma=sigma)
+
+    def test_gathers_equal_per_id_lookup(self):
+        t = self._tensors()
+        rng = np.random.default_rng(6)
+        id_a = rng.choice(t.ids["a"], size=100)
+        id_b = rng.choice(t.ids["b"], size=100)
+        row = {s: {int(v): i for i, v in enumerate(t.ids[s])} for s in ("a", "b")}
+        ra = np.array([row["a"][int(i)] for i in id_a])
+        rb = np.array([row["b"][int(i)] for i in id_b])
+        xs, xt = t.pair_irs(id_a, id_b)
+        assert np.array_equal(xs, t.irs["a"][ra]) and np.array_equal(xt, t.irs["b"][rb])
+        got = t.pair_latents(id_a, id_b)
+        want = (t.mu["a"][ra], t.sigma["a"][ra], t.mu["b"][rb], t.sigma["b"][rb])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("missing", [-1, 1000, None])
+    def test_unknown_id_raises_key_error(self, missing):
+        t = self._tensors()
+        if missing is None:  # an id between the smallest and largest known ids
+            known = t.ids["b"]
+            missing = int(np.setdiff1d(np.arange(known.min(), known.max()), known)[0])
+        id_b = np.array([t.ids["b"][0], missing])
+        with pytest.raises(KeyError, match=f"table 'b' has no tuple with id {missing}"):
+            t.pair_irs(t.ids["a"][:2], id_b)
+
+
 class TestOracleLabeler:
     def test_labels_and_counts(self):
         lab = OracleLabeler(pd.DataFrame({"id_a": [1, 2], "id_b": [10, 20]}))

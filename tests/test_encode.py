@@ -5,11 +5,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.encode import (
-    collect_representations,
-    encode_representations,
-    irs_as_representations,
-)
+from repro.core.active import DomainTensors
+from repro.core.encode import encode_representations, irs_as_representations
 from repro.core.vae import VAE
 
 
@@ -72,15 +69,19 @@ class TestIrsAsRepresentations:
 
 class TestCollect:
     def test_alignment(self, irs_df, vae):
-        reps = encode_representations(irs_df, vae.encoder.state())
-        ids, mu, sigma = collect_representations(reps)
-        assert set(ids) == {"a", "b"}
-        assert mu["a"].shape == (9, 12) and sigma["b"].shape == (7, 12)
+        """DomainTensors.from_frames realigns reps rows, collected in any
+        order, to the IR rows of each table."""
+        irs_pdf = irs_df.toPandas()
+        pdf = encode_representations(irs_df, vae.encoder.state()).toPandas()
+        shuffled = pdf.sample(frac=1.0, random_state=3).reset_index(drop=True)
+        assert not shuffled["id"].equals(pdf["id"])
+        t = DomainTensors.from_frames(irs_pdf, shuffled)
+        assert set(t.ids) == {"a", "b"}
+        assert t.mu["a"].shape == (9, 12) and t.sigma["b"].shape == (7, 12)
         # Row i of mu['a'] must belong to ids['a'][i].
-        pdf = reps.toPandas()
-        lookup = {
-            (r["table"], r["id"]): np.asarray(r["mu"]) for _, r in pdf.iterrows()
-        }
-        for t in ("a", "b"):
-            for i, tid in enumerate(ids[t]):
-                assert np.allclose(mu[t][i], lookup[(t, int(tid))])
+        lookup = {(r["table"], r["id"]): r for _, r in pdf.iterrows()}
+        for tab in ("a", "b"):
+            for i, tid in enumerate(t.ids[tab]):
+                r = lookup[(tab, int(tid))]
+                assert np.allclose(t.mu[tab][i], np.asarray(r["mu"]))
+                assert np.allclose(t.sigma[tab][i], np.asarray(r["sigma"]))

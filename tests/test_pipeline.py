@@ -31,7 +31,7 @@ class TestRepresentationPipeline:
 
     def test_neighbour_search_finds_duplicates(self, tiny_domain, tiny_rep):
         prf = topk_prf(
-            topk_pairs(tiny_rep.reps_df, k=10, exact=True), tiny_domain.test
+            topk_pairs(tiny_rep.reps_df, k=10), tiny_domain.test
         )
         assert prf.recall > 0.5
 
@@ -39,11 +39,11 @@ class TestRepresentationPipeline:
         """The Table IV claim at tiny scale: encoding must preserve the
         IR similarity signal (allow small slack for noise)."""
         raw = topk_prf(
-            topk_pairs(irs_as_representations(tiny_rep.irs_df), k=10, exact=True),
+            topk_pairs(irs_as_representations(tiny_rep.irs_df), k=10),
             tiny_domain.test,
         )
         enc = topk_prf(
-            topk_pairs(tiny_rep.reps_df, k=10, exact=True), tiny_domain.test
+            topk_pairs(tiny_rep.reps_df, k=10), tiny_domain.test
         )
         # The tiny fixture has only a handful of test positives, so compare
         # retrieved-duplicate *counts* with a 2-pair slack rather than the
@@ -79,7 +79,7 @@ class TestMatchingPipeline:
         assert prf.f1 > 0.3
 
     def test_active_learning_end_to_end(self, tiny_domain, tiny_rep, tiny_tensors, small_cfg):
-        cand = topk_pairs(tiny_rep.reps_df, k=10, exact=True).toPandas()
+        cand = topk_pairs(tiny_rep.reps_df, k=10).toPandas()
         labeler = OracleLabeler(tiny_domain.truth.toPandas())
         al = ActiveLearner(
             tiny_tensors,
